@@ -39,26 +39,19 @@ package main
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
-	"sync"
 	"syscall"
 	"time"
 
-	"socrel/internal/adl"
-	"socrel/internal/assembly"
 	"socrel/internal/cluster"
 	"socrel/internal/core"
 	"socrel/internal/estimate"
-	"socrel/internal/monitor"
-	socruntime "socrel/internal/runtime"
+	"socrel/internal/httpapi"
 	"socrel/internal/server"
 )
 
@@ -92,11 +85,11 @@ func run(args []string, out io.Writer) error {
 	if *fixedPoint {
 		opts.Cycles = core.CycleFixedPoint
 	}
-	asm, err := loadAssembly(*file, *asmName, *paper)
+	asm, err := httpapi.LoadAssembly(*file, *asmName, *paper)
 	if err != nil {
 		return err
 	}
-	newEval, sharedCA, mode, err := evaluatorFactory(asm, opts, *service)
+	newEval, sharedCA, mode, err := httpapi.EvaluatorFactory(asm, opts, *service)
 	if err != nil {
 		return err
 	}
@@ -152,186 +145,6 @@ func run(args []string, out io.Writer) error {
 	return hs.Shutdown(shutCtx)
 }
 
-// evaluatorFactory compiles the assembly once when possible — the
-// compiled engine is concurrency-safe, so every replica shares it — with
-// the parametric closed-form layer on top, and otherwise hands each
-// replica its own mutex-serialized interpreter.
-func evaluatorFactory(asm *assembly.Assembly, opts core.Options, service string) (func(id string) server.Evaluator, *core.CompiledAssembly, string, error) {
-	ca, err := core.CompileParametric(asm, opts, core.ParametricOptions{}, service)
-	if err == nil {
-		mode := "compiled"
-		if st := ca.ParametricStats(); st.Outputs > 0 {
-			mode = "parametric"
-		}
-		return func(string) server.Evaluator { return ca }, ca, mode, nil
-	}
-	if !errors.Is(err, core.ErrNotCompilable) {
-		return nil, nil, "", err
-	}
-	return func(string) server.Evaluator {
-		return &serializedEval{ev: core.New(asm, opts)}
-	}, nil, "interpreted", nil
-}
-
-// serializedEval guards the single-goroutine interpreted evaluator with
-// a mutex, one instance per replica.
-type serializedEval struct {
-	mu sync.Mutex
-	ev *core.Evaluator
-}
-
-func (s *serializedEval) PfailCtx(ctx context.Context, service string, params ...float64) (float64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ev.PfailCtx(ctx, service, params...)
-}
-
-// loadAssembly resolves the -file / -paper flags into an assembly.
-func loadAssembly(file, asmName, paper string) (*assembly.Assembly, error) {
-	switch {
-	case paper != "":
-		p := assembly.DefaultPaperParams()
-		switch paper {
-		case "local":
-			return assembly.LocalAssembly(p)
-		case "remote":
-			return assembly.RemoteAssembly(p)
-		default:
-			return nil, fmt.Errorf("unknown -paper value %q (want local or remote)", paper)
-		}
-	case file != "":
-		var data []byte
-		var err error
-		if file == "-" {
-			data, err = io.ReadAll(os.Stdin)
-		} else {
-			data, err = os.ReadFile(file)
-		}
-		if err != nil {
-			return nil, err
-		}
-		var doc *adl.Document
-		if strings.HasPrefix(strings.TrimSpace(string(data)), "{") {
-			doc, err = adl.UnmarshalJSON(data)
-		} else {
-			doc, err = adl.ParseDSL(string(data))
-		}
-		if err != nil {
-			return nil, err
-		}
-		if asmName == "" {
-			names := doc.AssemblyNames()
-			if len(names) != 1 {
-				return nil, fmt.Errorf("document defines assemblies %v; pick one with -assembly", names)
-			}
-			asmName = names[0]
-		}
-		return doc.BuildAssembly(asmName)
-	default:
-		return nil, errors.New("either -file or -paper is required")
-	}
-}
-
-// predictRequest is the wire form of one /predict call. Scope isolates
-// tenants: degraded answers never cross scopes, and the (scope,
-// service, parameter-region) triple is the routing key.
-type predictRequest struct {
-	Service   string    `json:"service,omitempty"`
-	Scope     string    `json:"scope,omitempty"`
-	Params    []float64 `json:"params,omitempty"`
-	Priority  string    `json:"priority,omitempty"`
-	TimeoutMS int64     `json:"timeout_ms,omitempty"`
-}
-
-// predictResponse is the wire form of one answer.
-type predictResponse struct {
-	Kind        string   `json:"kind"`
-	Pfail       float64  `json:"pfail"`
-	Reliability float64  `json:"reliability"`
-	Lo          *float64 `json:"lo,omitempty"`
-	Hi          *float64 `json:"hi,omitempty"`
-	AgeMS       int64    `json:"age_ms,omitempty"`
-	Error       string   `json:"error,omitempty"`
-}
-
-func toResponse(a socruntime.Answer) predictResponse {
-	r := predictResponse{
-		Kind:        a.Kind.String(),
-		Pfail:       a.Pfail,
-		Reliability: a.Reliability(),
-	}
-	if a.Kind == socruntime.Bounded {
-		lo, hi := a.Lo, a.Hi
-		r.Lo, r.Hi = &lo, &hi
-	}
-	if a.Age > 0 {
-		r.AgeMS = a.Age.Milliseconds()
-	}
-	if a.Err != nil {
-		r.Error = a.Err.Error()
-	}
-	return r
-}
-
-func parsePriority(s string) (server.Priority, error) {
-	switch s {
-	case "", "interactive":
-		return server.Interactive, nil
-	case "batch":
-		return server.Batch, nil
-	case "best-effort":
-		return server.BestEffort, nil
-	default:
-		return 0, fmt.Errorf("unknown priority %q (want interactive, batch, or best-effort)", s)
-	}
-}
-
-func statusFor(a socruntime.Answer) int {
-	if a.Kind != socruntime.Unavailable {
-		return http.StatusOK
-	}
-	if errors.Is(a.Err, server.ErrOverloaded) || errors.Is(a.Err, cluster.ErrStopped) {
-		return http.StatusServiceUnavailable
-	}
-	return http.StatusInternalServerError
-}
-
-// estimateMeta is the wire form of one estimation bucket in /estimates.
-type estimateMeta struct {
-	Provider     string  `json:"provider"`
-	Context      string  `json:"context,omitempty"`
-	Load         int     `json:"load,omitempty"`
-	Rate         float64 `json:"rate"`
-	Lo           float64 `json:"lo"`
-	Hi           float64 `json:"hi"`
-	Observations int     `json:"observations"`
-	Failures     int     `json:"failures"`
-	MeanLatencyS float64 `json:"mean_latency_s,omitempty"`
-	Bound        float64 `json:"bound,omitempty"`
-	Drift        string  `json:"drift,omitempty"`
-	Direction    int     `json:"direction,omitempty"`
-}
-
-func toEstimateMeta(b estimate.BucketEstimate) estimateMeta {
-	m := estimateMeta{
-		Provider:     b.Key.Provider,
-		Context:      b.Key.Context,
-		Load:         b.Key.Load,
-		Rate:         b.Estimate.Rate,
-		Lo:           b.Estimate.Lo,
-		Hi:           b.Estimate.Hi,
-		Observations: b.Estimate.Observations,
-		Failures:     b.Estimate.Failures,
-		MeanLatencyS: b.Estimate.MeanLatency,
-		Bound:        b.Bound,
-		Direction:    b.Direction,
-	}
-	if b.Drift != monitor.Verdict(0) {
-		m.Drift = b.Drift.String()
-	}
-	return m
-}
-
 // memberView is one replica's judgment of the fleet in /cluster.
 type memberView struct {
 	ID        string `json:"id"`
@@ -346,30 +159,7 @@ type memberView struct {
 func newFleetMux(f *cluster.Fleet, ca *core.CompiledAssembly) *http.ServeMux {
 	mux := http.NewServeMux()
 
-	mux.HandleFunc("POST /predict", func(w http.ResponseWriter, r *http.Request) {
-		var req predictRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
-			return
-		}
-		pri, err := parsePriority(req.Priority)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, err)
-			return
-		}
-		ans := f.Serve(r.Context(), server.Request{
-			Service:  req.Service,
-			Scope:    req.Scope,
-			Params:   req.Params,
-			Priority: pri,
-			Timeout:  time.Duration(req.TimeoutMS) * time.Millisecond,
-		})
-		status := statusFor(ans)
-		if status == http.StatusServiceUnavailable {
-			w.Header().Set("Retry-After", "1")
-		}
-		writeJSON(w, status, toResponse(ans))
-	})
+	mux.HandleFunc("POST /predict", httpapi.Predict(f.Serve, nil))
 
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		live := f.Live()
@@ -385,7 +175,7 @@ func newFleetMux(f *cluster.Fleet, ca *core.CompiledAssembly) *http.ServeMux {
 			status = http.StatusServiceUnavailable
 			state = "unavailable"
 		}
-		writeJSON(w, status, map[string]any{
+		httpapi.WriteJSON(w, status, map[string]any{
 			"status":    state,
 			"live":      len(live),
 			"accepting": accepting,
@@ -412,7 +202,7 @@ func newFleetMux(f *cluster.Fleet, ca *core.CompiledAssembly) *http.ServeMux {
 				"rumors_skipped":   st.RumorsSkipped,
 			}
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"replicas": views})
+		httpapi.WriteJSON(w, http.StatusOK, map[string]any{"replicas": views})
 	})
 
 	mux.HandleFunc("GET /estimates", func(w http.ResponseWriter, r *http.Request) {
@@ -422,17 +212,9 @@ func newFleetMux(f *cluster.Fleet, ca *core.CompiledAssembly) *http.ServeMux {
 			if est == nil {
 				continue
 			}
-			all := est.All()
-			buckets := make([]estimateMeta, 0, len(all))
-			for _, b := range all {
-				if !b.OK && b.Estimate.Observations == 0 {
-					continue
-				}
-				buckets = append(buckets, toEstimateMeta(b))
-			}
-			perReplica[n.ID()] = buckets
+			perReplica[n.ID()] = httpapi.Estimates(est)
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"replicas": perReplica})
+		httpapi.WriteJSON(w, http.StatusOK, map[string]any{"replicas": perReplica})
 	})
 
 	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) {
@@ -459,14 +241,7 @@ func newFleetMux(f *cluster.Fleet, ca *core.CompiledAssembly) *http.ServeMux {
 				"draining":    n.Server().Draining(),
 			}
 			if est := n.Estimator(); est != nil {
-				es := est.Stats()
-				rep["estimator"] = map[string]any{
-					"observed":         es.Observed,
-					"keys":             es.Keys,
-					"drift_violations": es.DriftViolations,
-					"merged":           es.Merged,
-					"bad_merges":       es.BadMerges,
-				}
+				rep["estimator"] = httpapi.Estimator(est)
 			}
 			perReplica[n.ID()] = rep
 		}
@@ -480,27 +255,10 @@ func newFleetMux(f *cluster.Fleet, ca *core.CompiledAssembly) *http.ServeMux {
 			"replicas":    perReplica,
 		}
 		if ca != nil {
-			ps := ca.ParametricStats()
-			stats["parametric"] = map[string]any{
-				"outputs":           ps.Outputs,
-				"fallbacks":         ps.Fallbacks,
-				"parametric_points": ps.ParametricPoints,
-				"numeric_points":    ps.NumericPoints,
-				"gradient_points":   ps.GradientPoints,
-			}
+			stats["parametric"] = httpapi.Parametric(ca)
 		}
-		writeJSON(w, http.StatusOK, stats)
+		httpapi.WriteJSON(w, http.StatusOK, stats)
 	})
 
 	return mux
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func httpError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
 }

@@ -12,6 +12,7 @@ import (
 	"socrel/internal/cluster"
 	"socrel/internal/core"
 	"socrel/internal/estimate"
+	"socrel/internal/httpapi"
 	socruntime "socrel/internal/runtime"
 	"socrel/internal/server"
 )
@@ -24,7 +25,7 @@ func newTestFleet(t *testing.T, replicas int) (*cluster.Fleet, *socruntime.FakeC
 	if err != nil {
 		t.Fatal(err)
 	}
-	newEval, _, mode, err := evaluatorFactory(asm, core.Options{}, "search")
+	newEval, _, mode, err := httpapi.EvaluatorFactory(asm, core.Options{}, "search")
 	if err != nil {
 		t.Fatal(err)
 	}

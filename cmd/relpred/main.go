@@ -31,7 +31,8 @@
 //
 //	0  success (or -h/-help)
 //	1  other failure (I/O, ADL parse, unclassified evaluation errors)
-//	2  usage errors (bad flags, missing -file/-paper, unknown -paper)
+//	2  usage errors (bad flags, missing -file/-paper, unknown -paper,
+//	   a document with several assemblies and no -assembly)
 //	3  cancellation (deadline expired, interrupted)
 //	4  iterative solver did not converge
 //	5  model defects (defective flows, non-finite laws, invalid services,
@@ -83,7 +84,7 @@ func exitCodeFor(err error) int {
 	switch {
 	case err == nil, errors.Is(err, flag.ErrHelp):
 		return exitOK
-	case errors.Is(err, errUsage):
+	case errors.Is(err, errUsage), errors.Is(err, adl.ErrAmbiguousAssembly):
 		return exitUsage
 	case errors.Is(err, errModelDefect):
 		return exitDefect
@@ -184,7 +185,7 @@ func run(args []string, out io.Writer) error {
 		}
 		asm, err = buildFromDocument(doc, *asmName)
 		if err != nil {
-			if errors.Is(err, errUsage) {
+			if errors.Is(err, adl.ErrAmbiguousAssembly) {
 				return err
 			}
 			return fmt.Errorf("%w: %w", errModelDefect, err)
@@ -203,7 +204,7 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 	case *file != "":
-		doc, err := loadDocument(*file)
+		doc, err := adl.ReadFile(*file)
 		if err != nil {
 			return err
 		}
@@ -477,15 +478,12 @@ func emitDOT(out io.Writer, asm *assembly.Assembly, kind, service string, params
 	}
 }
 
-// buildFromDocument resolves the assembly name (requiring -assembly when
-// the document is ambiguous) and builds it.
+// buildFromDocument resolves the assembly name (an ambiguous document
+// needs -assembly, a usage error) and builds it.
 func buildFromDocument(doc *adl.Document, name string) (*assembly.Assembly, error) {
-	if name == "" {
-		names := doc.AssemblyNames()
-		if len(names) != 1 {
-			return nil, fmt.Errorf("%w: document defines assemblies %v; pick one with -assembly", errUsage, names)
-		}
-		name = names[0]
+	name, err := doc.PickAssembly(name)
+	if err != nil {
+		return nil, fmt.Errorf("document %w with -assembly", err)
 	}
 	return doc.BuildAssembly(name)
 }
@@ -496,7 +494,7 @@ func buildFromDocument(doc *adl.Document, name string) (*assembly.Assembly, erro
 // but does not load is a model defect.
 func loadModel(arg, storeDir string) (*adl.Document, error) {
 	if fi, err := os.Stat(arg); err == nil && !fi.IsDir() {
-		doc, err := loadDocument(arg)
+		doc, err := adl.ReadFile(arg)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %s: %w", errModelDefect, arg, err)
 		}
@@ -535,24 +533,6 @@ func loadModel(arg, storeDir string) (*adl.Document, error) {
 		return nil, fmt.Errorf("%w: %v", errModelDefect, err)
 	}
 	return doc, nil
-}
-
-func loadDocument(path string) (*adl.Document, error) {
-	var data []byte
-	var err error
-	if path == "-" {
-		data, err = io.ReadAll(os.Stdin)
-	} else {
-		data, err = os.ReadFile(path)
-	}
-	if err != nil {
-		return nil, err
-	}
-	trimmed := strings.TrimSpace(string(data))
-	if strings.HasPrefix(trimmed, "{") {
-		return adl.UnmarshalJSON(data)
-	}
-	return adl.ParseDSL(string(data))
 }
 
 func parseParams(s string) ([]float64, error) {

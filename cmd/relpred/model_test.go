@@ -131,3 +131,22 @@ func TestModelDefectiveFileExits5(t *testing.T) {
 		t.Fatalf("broken file via -model: err = %v, exit = %d, want %d", err, got, exitDefect)
 	}
 }
+
+// TestAmbiguousDocumentIsUsage: a document with several assemblies and
+// no -assembly is a usage error, whether it arrives via -file or -model.
+func TestAmbiguousDocumentIsUsage(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "two.adl")
+	src := testADL + "assembly other {\n    bind app.cpu1 -> cpu1\n}\n"
+	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, flagName := range []string{"-file", "-model"} {
+		err := run([]string{flagName, path, "-service", "app", "-params", "10"}, &bytes.Buffer{})
+		if exitCodeFor(err) != exitUsage {
+			t.Errorf("%s ambiguous: err = %v, exit = %d, want %d", flagName, err, exitCodeFor(err), exitUsage)
+		}
+		if err := run([]string{flagName, path, "-assembly", "other", "-service", "app", "-params", "10"}, &bytes.Buffer{}); err != nil {
+			t.Errorf("%s with -assembly: %v", flagName, err)
+		}
+	}
+}

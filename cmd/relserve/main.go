@@ -52,16 +52,13 @@ import (
 	"os"
 	"os/signal"
 	"strconv"
-	"strings"
-	"sync"
 	"syscall"
 	"time"
 
 	"socrel/internal/adl"
-	"socrel/internal/assembly"
 	"socrel/internal/core"
 	"socrel/internal/estimate"
-	"socrel/internal/monitor"
+	"socrel/internal/httpapi"
 	socruntime "socrel/internal/runtime"
 	"socrel/internal/server"
 	"socrel/internal/store"
@@ -115,18 +112,21 @@ func run(args []string, out io.Writer) error {
 	host := newModelHost(st, *cacheCap, opts)
 
 	// A default assembly is optional: a store-only server answers
-	// /predict?model= requests and 404s bare /predict calls.
+	// /predict?model= requests, and a bare /predict call comes back
+	// unavailable with a 500 (errNoDefaultModel).
 	var eval server.Evaluator
+	var ca *core.CompiledAssembly
 	mode := "store-only"
 	if *file != "" || *paper != "" {
-		asm, err := loadAssembly(*file, *asmName, *paper)
+		asm, err := httpapi.LoadAssembly(*file, *asmName, *paper)
 		if err != nil {
 			return err
 		}
-		eval, mode, err = buildEvaluator(asm, opts, *service)
-		if err != nil {
+		var newEval func(string) server.Evaluator
+		if newEval, ca, mode, err = httpapi.EvaluatorFactory(asm, opts, *service); err != nil {
 			return err
 		}
+		eval = newEval("")
 	}
 	est, err := estimate.New(estimate.Config{})
 	if err != nil {
@@ -141,7 +141,6 @@ func run(args []string, out io.Writer) error {
 	})
 
 	fmt.Fprintf(out, "relserve: serving %q (%s engine) on %s\n", *service, mode, *listen)
-	ca, _ := eval.(*core.CompiledAssembly)
 	hs := &http.Server{Addr: *listen, Handler: newMux(srv, host, est, ca)}
 
 	// Graceful shutdown: on SIGTERM/SIGINT the admission layer closes
@@ -259,175 +258,31 @@ func (d *dispatchEval) PfailBatchCtx(ctx context.Context, service string, paramS
 	return out, firstErr
 }
 
-// loadAssembly resolves the -file / -paper flags into an assembly.
-func loadAssembly(file, asmName, paper string) (*assembly.Assembly, error) {
-	switch {
-	case paper != "":
-		p := assembly.DefaultPaperParams()
-		switch paper {
-		case "local":
-			return assembly.LocalAssembly(p)
-		case "remote":
-			return assembly.RemoteAssembly(p)
-		default:
-			return nil, fmt.Errorf("unknown -paper value %q (want local or remote)", paper)
-		}
-	case file != "":
-		var data []byte
-		var err error
-		if file == "-" {
-			data, err = io.ReadAll(os.Stdin)
-		} else {
-			data, err = os.ReadFile(file)
-		}
-		if err != nil {
-			return nil, err
-		}
-		var doc *adl.Document
-		if strings.HasPrefix(strings.TrimSpace(string(data)), "{") {
-			doc, err = adl.UnmarshalJSON(data)
-		} else {
-			doc, err = adl.ParseDSL(string(data))
-		}
-		if err != nil {
-			return nil, err
-		}
-		if asmName == "" {
-			names := doc.AssemblyNames()
-			if len(names) != 1 {
-				return nil, fmt.Errorf("document defines assemblies %v; pick one with -assembly", names)
-			}
-			asmName = names[0]
-		}
-		return doc.BuildAssembly(asmName)
-	default:
-		return nil, fmt.Errorf("either -file or -paper is required")
-	}
-}
-
-// buildEvaluator compiles the assembly when possible (the compiled
-// engine is safe for the server's concurrency), with the parametric
-// closed-form layer on top so /predict/batch points are pure expression
-// evaluations, and otherwise falls back to a mutex-serialized interpreted
-// evaluator.
-func buildEvaluator(asm *assembly.Assembly, opts core.Options, service string) (server.Evaluator, string, error) {
-	ca, err := core.CompileParametric(asm, opts, core.ParametricOptions{}, service)
-	if err == nil {
-		if st := ca.ParametricStats(); st.Outputs > 0 {
-			return ca, "parametric", nil
-		}
-		return ca, "compiled", nil
-	}
-	if !errors.Is(err, core.ErrNotCompilable) {
-		return nil, "", err
-	}
-	return &serializedEval{ev: core.New(asm, opts)}, "interpreted", nil
-}
-
-// serializedEval guards the single-goroutine interpreted evaluator with
-// a mutex: correctness over parallelism on the fallback path. The
-// admission controller sees the serialization as latency and sizes the
-// window down accordingly.
-type serializedEval struct {
-	mu sync.Mutex
-	ev *core.Evaluator
-}
-
-func (s *serializedEval) PfailCtx(ctx context.Context, service string, params ...float64) (float64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ev.PfailCtx(ctx, service, params...)
-}
-
-// predictRequest is the wire form of one /predict call.
-type predictRequest struct {
-	Service   string      `json:"service,omitempty"`
-	Params    []float64   `json:"params,omitempty"`
-	ParamSets [][]float64 `json:"param_sets,omitempty"`
-	Priority  string      `json:"priority,omitempty"`
-	TimeoutMS int64       `json:"timeout_ms,omitempty"`
-}
-
-// predictResponse is the wire form of one answer. Kind is always set;
-// Error is present exactly when the answer is degraded.
-type predictResponse struct {
-	Kind        string   `json:"kind"`
-	Pfail       float64  `json:"pfail"`
-	Reliability float64  `json:"reliability"`
-	Lo          *float64 `json:"lo,omitempty"`
-	Hi          *float64 `json:"hi,omitempty"`
-	AgeMS       int64    `json:"age_ms,omitempty"`
-	Error       string   `json:"error,omitempty"`
-}
-
-func toResponse(a socruntime.Answer) predictResponse {
-	r := predictResponse{
-		Kind:        a.Kind.String(),
-		Pfail:       a.Pfail,
-		Reliability: a.Reliability(),
-	}
-	if a.Kind == socruntime.Bounded {
-		lo, hi := a.Lo, a.Hi
-		r.Lo, r.Hi = &lo, &hi
-	}
-	if a.Age > 0 {
-		r.AgeMS = a.Age.Milliseconds()
-	}
-	if a.Err != nil {
-		r.Error = a.Err.Error()
-	}
-	return r
-}
-
-func parsePriority(s string) (server.Priority, error) {
-	switch s {
-	case "", "interactive":
-		return server.Interactive, nil
-	case "batch":
-		return server.Batch, nil
-	case "best-effort":
-		return server.BestEffort, nil
-	default:
-		return 0, fmt.Errorf("unknown priority %q (want interactive, batch, or best-effort)", s)
-	}
-}
-
-// statusFor maps an answer to its HTTP status: any usable value (exact,
-// stale, bounded) is a 200, shed or failed requests are 503, and other
-// evaluation failures are 500.
-func statusFor(a socruntime.Answer) int {
-	if a.Kind != socruntime.Unavailable {
-		return http.StatusOK
-	}
-	if errors.Is(a.Err, server.ErrOverloaded) {
-		return http.StatusServiceUnavailable
-	}
-	return http.StatusInternalServerError
-}
-
 // modelContext resolves an optional ?model=tenant/name[@version] query
 // parameter into a request context carrying the compiled artifact, plus
 // the stale-store scope (the concrete resolved version, so degraded
 // answers never cross models or versions). The bool reports whether the
-// response has already been written (error).
-func modelContext(w http.ResponseWriter, r *http.Request, host *modelHost) (context.Context, string, bool) {
+// response has already been written (error). The query, not the body,
+// picks the scope: a body "scope" is ignored. A nil host answers any
+// ?model= with 404.
+func (host *modelHost) modelContext(w http.ResponseWriter, r *http.Request) (context.Context, string, bool) {
 	ctx := r.Context()
 	m := r.URL.Query().Get("model")
 	if m == "" {
 		return ctx, "", false
 	}
 	if host == nil {
-		httpError(w, http.StatusNotFound, errors.New("no model store configured"))
+		httpapi.Error(w, http.StatusNotFound, errors.New("no model store configured"))
 		return nil, "", true
 	}
 	ref, err := store.ParseRef(m)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		httpapi.Error(w, http.StatusBadRequest, err)
 		return nil, "", true
 	}
 	ca, rec, err := host.cache.Load(host.st, ref, r.URL.Query().Get("assembly"), host.opts)
 	if err != nil {
-		httpError(w, storeStatus(err), err)
+		httpapi.Fail(w, err)
 		return nil, "", true
 	}
 	scope := rec.Ref.String()
@@ -452,54 +307,10 @@ func estimateFeed(est *estimate.Estimator) func(server.Outcome) {
 	}
 }
 
-// estimateMeta is the wire form of one estimation bucket.
-type estimateMeta struct {
-	Provider     string  `json:"provider"`
-	Context      string  `json:"context,omitempty"`
-	Load         int     `json:"load,omitempty"`
-	Rate         float64 `json:"rate"`
-	Lo           float64 `json:"lo"`
-	Hi           float64 `json:"hi"`
-	Observations int     `json:"observations"`
-	Failures     int     `json:"failures"`
-	MeanLatencyS float64 `json:"mean_latency_s,omitempty"`
-	Bound        float64 `json:"bound,omitempty"`
-	Drift        string  `json:"drift,omitempty"`
-	Direction    int     `json:"direction,omitempty"`
-}
-
-func toEstimateMeta(b estimate.BucketEstimate) estimateMeta {
-	m := estimateMeta{
-		Provider:     b.Key.Provider,
-		Context:      b.Key.Context,
-		Load:         b.Key.Load,
-		Rate:         b.Estimate.Rate,
-		Lo:           b.Estimate.Lo,
-		Hi:           b.Estimate.Hi,
-		Observations: b.Estimate.Observations,
-		Failures:     b.Estimate.Failures,
-		MeanLatencyS: b.Estimate.MeanLatency,
-		Bound:        b.Bound,
-		Direction:    b.Direction,
-	}
-	if b.Drift != monitor.Verdict(0) {
-		m.Drift = b.Drift.String()
-	}
-	return m
-}
-
 // registerEstimateRoutes wires the estimator's read surface.
 func registerEstimateRoutes(mux *http.ServeMux, est *estimate.Estimator) {
 	mux.HandleFunc("GET /estimates", func(w http.ResponseWriter, r *http.Request) {
-		all := est.All()
-		out := make([]estimateMeta, 0, len(all))
-		for _, b := range all {
-			if !b.OK && b.Estimate.Observations == 0 {
-				continue
-			}
-			out = append(out, toEstimateMeta(b))
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"estimates": out})
+		httpapi.WriteJSON(w, http.StatusOK, map[string]any{"estimates": httpapi.Estimates(est)})
 	})
 }
 
@@ -511,50 +322,17 @@ func registerEstimateRoutes(mux *http.ServeMux, est *estimate.Estimator) {
 func newMux(srv *server.Server, host *modelHost, est *estimate.Estimator, ca *core.CompiledAssembly) *http.ServeMux {
 	mux := http.NewServeMux()
 
-	mux.HandleFunc("POST /predict", func(w http.ResponseWriter, r *http.Request) {
-		var req predictRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
-			return
-		}
-		pri, err := parsePriority(req.Priority)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, err)
-			return
-		}
-		ctx, scope, done := modelContext(w, r, host)
-		if done {
-			return
-		}
-		ans := srv.Serve(ctx, server.Request{
-			Service:  req.Service,
-			Scope:    scope,
-			Params:   req.Params,
-			Priority: pri,
-			Timeout:  time.Duration(req.TimeoutMS) * time.Millisecond,
-		})
-		status := statusFor(ans)
-		if status == http.StatusServiceUnavailable {
-			w.Header().Set("Retry-After", "1")
-		}
-		writeJSON(w, status, toResponse(ans))
-	})
+	mux.HandleFunc("POST /predict", httpapi.Predict(srv.Serve, host.modelContext))
 
 	mux.HandleFunc("POST /predict/batch", func(w http.ResponseWriter, r *http.Request) {
-		var req predictRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+		req, pri, ok := httpapi.DecodePredict(w, r)
+		if !ok {
 			return
 		}
-		pri, err := parsePriority(req.Priority)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, err)
-			return
-		}
-		if pri == server.Interactive && req.Priority == "" {
+		if req.Priority == "" {
 			pri = server.Batch // batches default to the batch class
 		}
-		ctx, scope, done := modelContext(w, r, host)
+		ctx, scope, done := host.modelContext(w, r)
 		if done {
 			return
 		}
@@ -565,21 +343,20 @@ func newMux(srv *server.Server, host *modelHost, est *estimate.Estimator, ca *co
 			Priority:  pri,
 			Timeout:   time.Duration(req.TimeoutMS) * time.Millisecond,
 		})
-		resp := make([]predictResponse, len(answers))
+		resp := make([]httpapi.PredictResponse, len(answers))
 		status := http.StatusOK
 		exact := 0
 		for i, a := range answers {
-			resp[i] = toResponse(a)
+			resp[i] = httpapi.ToResponse(a)
 			if a.Kind == socruntime.Exact {
 				exact++
 			}
 		}
 		// A batch where nothing was usable reports the shed status.
-		if len(answers) > 0 && exact == 0 && statusFor(answers[0]) == http.StatusServiceUnavailable {
+		if len(answers) > 0 && exact == 0 && httpapi.AnswerStatus(answers[0]) == http.StatusServiceUnavailable {
 			status = http.StatusServiceUnavailable
-			w.Header().Set("Retry-After", "1")
 		}
-		writeJSON(w, status, map[string]any{"answers": resp})
+		httpapi.Reply(w, status, map[string]any{"answers": resp})
 	})
 
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -590,7 +367,7 @@ func newMux(srv *server.Server, host *modelHost, est *estimate.Estimator, ca *co
 			status = http.StatusServiceUnavailable
 			state = "overloaded"
 		}
-		writeJSON(w, status, map[string]string{"status": state, "saturation": sat.String()})
+		httpapi.WriteJSON(w, status, map[string]string{"status": state, "saturation": sat.String()})
 	})
 
 	if host != nil {
@@ -635,45 +412,15 @@ func newMux(srv *server.Server, host *modelHost, est *estimate.Estimator, ca *co
 			}
 		}
 		if est != nil {
-			es := est.Stats()
-			stats["estimator"] = map[string]any{
-				"observed":         es.Observed,
-				"keys":             es.Keys,
-				"drift_violations": es.DriftViolations,
-				"merged":           es.Merged,
-				"bad_merges":       es.BadMerges,
-			}
+			stats["estimator"] = httpapi.Estimator(est)
 		}
 		if ca != nil {
-			ps := ca.ParametricStats()
-			stats["parametric"] = map[string]any{
-				"outputs":           ps.Outputs,
-				"fallbacks":         ps.Fallbacks,
-				"parametric_points": ps.ParametricPoints,
-				"numeric_points":    ps.NumericPoints,
-				"gradient_points":   ps.GradientPoints,
-			}
+			stats["parametric"] = httpapi.Parametric(ca)
 		}
-		writeJSON(w, http.StatusOK, stats)
+		httpapi.WriteJSON(w, http.StatusOK, stats)
 	})
 
 	return mux
-}
-
-// storeStatus maps a store error to its HTTP status.
-func storeStatus(err error) int {
-	switch {
-	case errors.Is(err, store.ErrNotFound):
-		return http.StatusNotFound
-	case errors.Is(err, store.ErrVersionConflict):
-		return http.StatusConflict
-	case errors.Is(err, store.ErrBadName):
-		return http.StatusBadRequest
-	case errors.Is(err, store.ErrCorrupt):
-		return http.StatusUnprocessableEntity
-	default:
-		return http.StatusInternalServerError
-	}
 }
 
 // modelMeta is the wire form of one stored model in listings.
@@ -714,19 +461,24 @@ func toRecordMeta(rec store.Record, withDoc bool) recordMeta {
 	return m
 }
 
+// maxModelBytes caps a published model body. A larger body is refused
+// with 413 rather than cut short: a DSL document truncated at a line
+// boundary can still parse, and would publish as a partial model.
+const maxModelBytes = 4 << 20
+
 // registerModelRoutes wires the model-store CRUD under /models.
 func registerModelRoutes(mux *http.ServeMux, host *modelHost) {
 	mux.HandleFunc("GET /models", func(w http.ResponseWriter, r *http.Request) {
 		tenants, err := host.st.Tenants()
 		if err != nil {
-			httpError(w, storeStatus(err), err)
+			httpapi.Fail(w, err)
 			return
 		}
 		models := []modelMeta{}
 		for _, tenant := range tenants {
 			names, err := host.st.Models(tenant)
 			if err != nil {
-				httpError(w, storeStatus(err), err)
+				httpapi.Fail(w, err)
 				return
 			}
 			for _, name := range names {
@@ -745,7 +497,7 @@ func registerModelRoutes(mux *http.ServeMux, host *modelHost) {
 				})
 			}
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"models": models})
+		httpapi.WriteJSON(w, http.StatusOK, map[string]any{"models": models})
 	})
 
 	mux.HandleFunc("GET /models/{tenant}/{model}", func(w http.ResponseWriter, r *http.Request) {
@@ -753,17 +505,17 @@ func registerModelRoutes(mux *http.ServeMux, host *modelHost) {
 		if v := r.URL.Query().Get("version"); v != "" {
 			n, err := strconv.Atoi(v)
 			if err != nil || n < 1 {
-				httpError(w, http.StatusBadRequest, fmt.Errorf("bad version %q (want a positive integer)", v))
+				httpapi.Error(w, http.StatusBadRequest, fmt.Errorf("bad version %q (want a positive integer)", v))
 				return
 			}
 			ref.Version = n
 		}
 		rec, err := host.st.Get(ref)
 		if err != nil {
-			httpError(w, storeStatus(err), err)
+			httpapi.Fail(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, toRecordMeta(rec, true))
+		httpapi.WriteJSON(w, http.StatusOK, toRecordMeta(rec, true))
 	})
 
 	mux.HandleFunc("PUT /models/{tenant}/{model}", func(w http.ResponseWriter, r *http.Request) {
@@ -772,51 +524,40 @@ func registerModelRoutes(mux *http.ServeMux, host *modelHost) {
 		if e := r.URL.Query().Get("expect"); e != "" {
 			n, err := strconv.Atoi(e)
 			if err != nil {
-				httpError(w, http.StatusBadRequest, fmt.Errorf("bad expect %q (want an integer; -1 = must not exist)", e))
+				httpapi.Error(w, http.StatusBadRequest, fmt.Errorf("bad expect %q (want an integer; -1 = must not exist)", e))
 				return
 			}
 			popts.ExpectedLatest = n
 		}
-		data, err := io.ReadAll(io.LimitReader(r.Body, 4<<20))
+		data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxModelBytes))
 		if err != nil {
-			httpError(w, http.StatusBadRequest, err)
+			status := http.StatusBadRequest
+			if errors.As(err, new(*http.MaxBytesError)) {
+				status = http.StatusRequestEntityTooLarge
+			}
+			httpapi.Error(w, status, err)
 			return
 		}
-		var doc *adl.Document
-		if strings.HasPrefix(strings.TrimSpace(string(data)), "{") {
-			doc, err = adl.UnmarshalJSON(data)
-		} else {
-			doc, err = adl.ParseDSL(string(data))
-		}
+		doc, err := adl.Decode(data)
 		if err != nil {
-			httpError(w, http.StatusUnprocessableEntity, err)
+			httpapi.Error(w, http.StatusUnprocessableEntity, err)
 			return
 		}
 		rec, err := host.st.Publish(tenant, model, doc, popts)
 		if err != nil {
-			httpError(w, storeStatus(err), err)
+			httpapi.Fail(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, toRecordMeta(rec, false))
+		httpapi.WriteJSON(w, http.StatusOK, toRecordMeta(rec, false))
 	})
 
 	mux.HandleFunc("DELETE /models/{tenant}/{model}", func(w http.ResponseWriter, r *http.Request) {
 		tenant, model := r.PathValue("tenant"), r.PathValue("model")
 		if err := host.st.Delete(tenant, model); err != nil {
-			httpError(w, storeStatus(err), err)
+			httpapi.Fail(w, err)
 			return
 		}
 		host.cache.Invalidate(tenant, model)
-		writeJSON(w, http.StatusOK, map[string]string{"deleted": tenant + "/" + model})
+		httpapi.WriteJSON(w, http.StatusOK, map[string]string{"deleted": tenant + "/" + model})
 	})
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func httpError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
 }

@@ -296,3 +296,35 @@ func TestBuilderVariantParity(t *testing.T) {
 		t.Fatalf("variant over HTTP %.15g vs hand-wired %.15g (diff %g)", got, want, math.Abs(got-want))
 	}
 }
+
+// TestPublishOversizedBodyIs413: a model body over the 4 MiB cap is
+// refused whole. Cutting it short instead would publish a partial model
+// whenever the cut lands on a line boundary, as it does here.
+func TestPublishOversizedBodyIs413(t *testing.T) {
+	st := store.NewMem()
+	ts, _ := newStoreServer(st)
+	defer ts.Close()
+	if resp, m := doReq(t, "PUT", ts.URL+"/models/acme/search", storeDSL); resp.StatusCode != http.StatusOK {
+		t.Fatalf("publish v1: %d %v", resp.StatusCode, m)
+	}
+
+	// A changed model padded with comment lines to exactly the cap, then
+	// one more service past it.
+	var b strings.Builder
+	b.WriteString(strings.Replace(storeDSL, "attr phi 1e-6", "attr phi 2e-6", 1))
+	line := "#" + strings.Repeat("x", 62) + "\n"
+	for b.Len()+len(line) <= maxModelBytes {
+		b.WriteString(line)
+	}
+	b.WriteString(strings.Repeat("#", maxModelBytes-b.Len()-1) + "\n")
+	b.WriteString("service cpu3 cpu {\n    speed 1e9\n    rate 1e-10\n}\n")
+
+	resp, m := doReq(t, "PUT", ts.URL+"/models/acme/search", b.String())
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized publish: want 413, got %d %v", resp.StatusCode, m)
+	}
+	versions, err := st.Versions("acme", "search")
+	if err != nil || len(versions) != 1 {
+		t.Fatalf("versions after refused publish = %v, %v; want only v1", versions, err)
+	}
+}

@@ -64,17 +64,13 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 	case *file != "":
-		doc, err := loadDocument(*file)
+		doc, err := adl.ReadFile(*file)
 		if err != nil {
 			return err
 		}
-		name := *asmName
-		if name == "" {
-			names := doc.AssemblyNames()
-			if len(names) != 1 {
-				return fmt.Errorf("document defines assemblies %v; pick one with -assembly", names)
-			}
-			name = names[0]
+		name, err := doc.PickAssembly(*asmName)
+		if err != nil {
+			return fmt.Errorf("document %w with -assembly", err)
 		}
 		asm, err = doc.BuildAssembly(name)
 		if err != nil {
@@ -124,23 +120,6 @@ func run(args []string, out io.Writer) error {
 	fmt.Fprintf(out, "  simulated mean       : %.6g s  (%d successful runs)\n", te.Mean, te.Successes)
 	_, err = fmt.Fprintf(out, "  P50 / P95 / P99      : %.6g / %.6g / %.6g s\n", te.P50, te.P95, te.P99)
 	return err
-}
-
-func loadDocument(path string) (*adl.Document, error) {
-	var data []byte
-	var err error
-	if path == "-" {
-		data, err = io.ReadAll(os.Stdin)
-	} else {
-		data, err = os.ReadFile(path)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if strings.HasPrefix(strings.TrimSpace(string(data)), "{") {
-		return adl.UnmarshalJSON(data)
-	}
-	return adl.ParseDSL(string(data))
 }
 
 func parseParams(s string) ([]float64, error) {

@@ -7,6 +7,9 @@
 //   - a JSON codec (MarshalJSON / UnmarshalJSON helpers on Document) for
 //     tooling.
 //
+// Decode (and ReadFile over it) accepts either syntax and tells them
+// apart by the first non-space byte.
+//
 // A Document carries service definitions (with their usage-profile flows,
 // failure laws and parameter-dependency expressions, all serialized as
 // expression source text) and named assemblies (binding sets). Documents
@@ -63,7 +66,11 @@
 package adl
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
+	"io"
+	"os"
 
 	"socrel/internal/assembly"
 	"socrel/internal/model"
@@ -167,6 +174,50 @@ func hasBinding(bindings []assembly.Binding, caller, role string) bool {
 		}
 	}
 	return false
+}
+
+// Decode parses an ADL source in either syntax: a source whose first
+// non-space byte is '{' is JSON, anything else is the DSL.
+func Decode(data []byte) (*Document, error) {
+	if bytes.HasPrefix(bytes.TrimSpace(data), []byte("{")) {
+		return UnmarshalJSON(data)
+	}
+	return ParseDSL(string(data))
+}
+
+// ReadFile reads and decodes an ADL file in either syntax; a path of
+// "-" reads standard input.
+func ReadFile(path string) (*Document, error) {
+	var data []byte
+	var err error
+	if path == "-" {
+		data, err = io.ReadAll(os.Stdin)
+	} else {
+		data, err = os.ReadFile(path)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return Decode(data)
+}
+
+// ErrAmbiguousAssembly reports that no assembly was named and the
+// document does not define exactly one to default to.
+var ErrAmbiguousAssembly = errors.New("pick one")
+
+// PickAssembly resolves an assembly selector: a non-empty name is
+// returned as is (BuildAssembly reports unknown names), and an empty one
+// selects the document's sole assembly. A document with none or several
+// fails with ErrAmbiguousAssembly, as "defines assemblies [a b]; pick
+// one" for the caller to prefix with the document's name.
+func (d *Document) PickAssembly(name string) (string, error) {
+	if name != "" {
+		return name, nil
+	}
+	if len(d.Assemblies) != 1 {
+		return "", fmt.Errorf("defines assemblies %v; %w", d.AssemblyNames(), ErrAmbiguousAssembly)
+	}
+	return d.Assemblies[0].Name, nil
 }
 
 // AssemblyNames returns the declared assembly names in order.

@@ -20,12 +20,8 @@ func resolve(st Store, ref Ref, assemblyName string) (Record, *adl.Document, str
 	if err != nil {
 		return Record{}, nil, "", err
 	}
-	if assemblyName == "" {
-		names := doc.AssemblyNames()
-		if len(names) != 1 {
-			return Record{}, nil, "", fmt.Errorf("store: %s defines assemblies %v; pick one", rec.Ref, names)
-		}
-		assemblyName = names[0]
+	if assemblyName, err = doc.PickAssembly(assemblyName); err != nil {
+		return Record{}, nil, "", fmt.Errorf("store: %s %w", rec.Ref, err)
 	}
 	return rec, doc, assemblyName, nil
 }
