@@ -267,7 +267,8 @@ func (d *dispatchEval) PfailBatchCtx(ctx context.Context, service string, paramS
 // ?model= with 404.
 func (host *modelHost) modelContext(w http.ResponseWriter, r *http.Request) (context.Context, string, bool) {
 	ctx := r.Context()
-	m := r.URL.Query().Get("model")
+	q := r.URL.Query()
+	m := q.Get("model")
 	if m == "" {
 		return ctx, "", false
 	}
@@ -280,13 +281,14 @@ func (host *modelHost) modelContext(w http.ResponseWriter, r *http.Request) (con
 		httpapi.Error(w, http.StatusBadRequest, err)
 		return nil, "", true
 	}
-	ca, rec, err := host.cache.Load(host.st, ref, r.URL.Query().Get("assembly"), host.opts)
+	asm := q.Get("assembly")
+	ca, rec, err := host.cache.Load(host.st, ref, asm, host.opts)
 	if err != nil {
 		httpapi.Fail(w, err)
 		return nil, "", true
 	}
 	scope := rec.Ref.String()
-	if asm := r.URL.Query().Get("assembly"); asm != "" {
+	if asm != "" {
 		scope += "#" + asm
 	}
 	return context.WithValue(ctx, modelCtxKey{}, ca), scope, false

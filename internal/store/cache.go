@@ -5,36 +5,43 @@ import (
 	"fmt"
 	"sync"
 
-	"socrel/internal/adl"
 	"socrel/internal/core"
 )
 
-// resolve loads ref and picks the assembly: an empty name selects the
-// document's sole assembly and fails if the document defines several.
-func resolve(st Store, ref Ref, assemblyName string) (Record, *adl.Document, string, error) {
-	rec, err := st.Get(ref)
-	if err != nil {
-		return Record{}, nil, "", err
-	}
+// compile decodes rec and compiles the named assembly: an empty name
+// selects the document's sole assembly and fails if the document defines
+// several.
+func compile(rec Record, assemblyName string, opts core.Options) (*core.CompiledAssembly, error) {
 	doc, err := rec.Document()
 	if err != nil {
-		return Record{}, nil, "", err
+		return nil, err
 	}
-	if assemblyName, err = doc.PickAssembly(assemblyName); err != nil {
-		return Record{}, nil, "", fmt.Errorf("store: %s %w", rec.Ref, err)
+	name, err := doc.PickAssembly(assemblyName)
+	if err != nil {
+		return nil, fmt.Errorf("store: %s %w", rec.Ref, err)
 	}
-	return rec, doc, assemblyName, nil
+	ca, err := core.CompileDocument(doc, name, opts)
+	if err != nil {
+		return nil, fmt.Errorf("store: compile %s (%s): %w", rec.Ref, name, err)
+	}
+	return ca, nil
 }
 
 // ArtifactCache is an LRU of compiled assemblies keyed by concrete
-// (tenant, model, version, assembly). It is the hot-reload path between
-// the store and the engine: resolving a Ref loads the record, builds the
-// named assembly, compiles it, and memoizes the immutable artifact.
+// (tenant, model, version, requested assembly name). It is the hot-reload
+// path between the store and the engine: a load resolves the Ref to a
+// record and looks the key up first; only a miss decodes the record,
+// builds the named assembly, compiles it, and memoizes the immutable
+// artifact.
 //
 // Invalidation rules (DESIGN.md §12):
 //
 //   - Records are append-only and artifacts immutable, so a cached entry
 //     is valid forever — eviction is purely capacity-driven (LRU).
+//   - The key holds the assembly name as requested, so "" and the sole
+//     assembly's explicit name are two entries for one version; both are
+//     immutable, so neither can go stale. A request that fails (an
+//     ambiguous "", a corrupt record) is never cached.
 //   - A Ref with Version 0 ("latest") is resolved to a concrete version
 //     on every load, so a publish is picked up on the next latest-load
 //     while pinned versions keep serving their old artifact untouched.
@@ -58,7 +65,6 @@ type artifactKey struct {
 type artifactEntry struct {
 	key artifactKey
 	ca  *core.CompiledAssembly
-	rec Record
 }
 
 // CacheStats is a snapshot of the cache counters.
@@ -84,9 +90,10 @@ func NewArtifactCache(capacity int) *ArtifactCache {
 // named assembly of that version, compiling (and caching) on miss. An
 // empty assemblyName selects the document's sole assembly and fails if the
 // document defines several. The returned Record identifies the concrete
-// version served.
+// version served. A hit costs the store lookup and the map probe: the
+// record is decoded only on a miss.
 func (c *ArtifactCache) Load(st Store, ref Ref, assemblyName string, opts core.Options) (*core.CompiledAssembly, Record, error) {
-	rec, doc, assemblyName, err := resolve(st, ref, assemblyName)
+	rec, err := st.Get(ref)
 	if err != nil {
 		return nil, Record{}, err
 	}
@@ -96,29 +103,28 @@ func (c *ArtifactCache) Load(st Store, ref Ref, assemblyName string, opts core.O
 	if el, ok := c.entries[key]; ok {
 		c.ll.MoveToFront(el)
 		c.hits++
-		ent := el.Value.(*artifactEntry)
+		ca := el.Value.(*artifactEntry).ca
 		c.mu.Unlock()
-		return ent.ca, ent.rec, nil
+		return ca, rec, nil
 	}
 	c.misses++
 	c.mu.Unlock()
 
-	// Compile outside the lock: compilation is slow and artifacts are
+	// Decode and compile outside the lock: both are slow and artifacts are
 	// immutable, so a duplicate concurrent compile is wasted work, not a
 	// correctness problem.
-	ca, err := core.CompileDocument(doc, assemblyName, opts)
+	ca, err := compile(rec, assemblyName, opts)
 	if err != nil {
-		return nil, Record{}, fmt.Errorf("store: compile %s (%s): %w", rec.Ref, assemblyName, err)
+		return nil, Record{}, err
 	}
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok { // lost the compile race; keep first
 		c.ll.MoveToFront(el)
-		ent := el.Value.(*artifactEntry)
-		return ent.ca, ent.rec, nil
+		return el.Value.(*artifactEntry).ca, rec, nil
 	}
-	c.entries[key] = c.ll.PushFront(&artifactEntry{key: key, ca: ca, rec: rec})
+	c.entries[key] = c.ll.PushFront(&artifactEntry{key: key, ca: ca})
 	for c.ll.Len() > c.capacity {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)
@@ -151,13 +157,13 @@ func (c *ArtifactCache) Stats() CacheStats {
 // Compile is the uncached compile-from-stored-form path: it loads ref and
 // compiles its sole (or named) assembly.
 func Compile(st Store, ref Ref, assemblyName string, opts core.Options) (*core.CompiledAssembly, Record, error) {
-	rec, doc, assemblyName, err := resolve(st, ref, assemblyName)
+	rec, err := st.Get(ref)
 	if err != nil {
 		return nil, Record{}, err
 	}
-	ca, err := core.CompileDocument(doc, assemblyName, opts)
+	ca, err := compile(rec, assemblyName, opts)
 	if err != nil {
-		return nil, Record{}, fmt.Errorf("store: compile %s (%s): %w", rec.Ref, assemblyName, err)
+		return nil, Record{}, err
 	}
 	return ca, rec, nil
 }

@@ -12,17 +12,19 @@ import (
 // dedup), no durability. The zero value is not usable; call NewMem.
 type Mem struct {
 	mu     sync.RWMutex
-	models map[string][]Record // key: tenant + "/" + model, versions ascending
+	models map[memKey][]Record // versions ascending
 }
+
+// memKey names one model. A struct key, unlike a joined string, costs no
+// allocation per lookup whatever the names' length.
+type memKey struct{ tenant, model string }
 
 var _ Store = (*Mem)(nil)
 
 // NewMem returns an empty in-memory store.
 func NewMem() *Mem {
-	return &Mem{models: make(map[string][]Record)}
+	return &Mem{models: make(map[memKey][]Record)}
 }
-
-func memKey(tenant, model string) string { return tenant + "/" + model }
 
 // Publish implements Store.
 func (m *Mem) Publish(tenant, model string, doc *adl.Document, opts PublishOptions) (Record, error) {
@@ -35,7 +37,7 @@ func (m *Mem) Publish(tenant, model string, doc *adl.Document, opts PublishOptio
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	key := memKey(tenant, model)
+	key := memKey{tenant, model}
 	versions := m.models[key]
 	latest := 0
 	if n := len(versions); n > 0 {
@@ -62,7 +64,7 @@ func (m *Mem) Publish(tenant, model string, doc *adl.Document, opts PublishOptio
 func (m *Mem) Get(ref Ref) (Record, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	versions := m.models[memKey(ref.Tenant, ref.Model)]
+	versions := m.models[memKey{ref.Tenant, ref.Model}]
 	if len(versions) == 0 {
 		return Record{}, fmt.Errorf("%w: %s", ErrNotFound, ref)
 	}
@@ -81,7 +83,7 @@ func (m *Mem) Get(ref Ref) (Record, error) {
 func (m *Mem) Versions(tenant, model string) ([]Record, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	versions := m.models[memKey(tenant, model)]
+	versions := m.models[memKey{tenant, model}]
 	if len(versions) == 0 {
 		return nil, fmt.Errorf("%w: %s/%s", ErrNotFound, tenant, model)
 	}
@@ -92,11 +94,10 @@ func (m *Mem) Versions(tenant, model string) ([]Record, error) {
 func (m *Mem) Models(tenant string) ([]string, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	prefix := tenant + "/"
 	var out []string
 	for key := range m.models {
-		if len(key) > len(prefix) && key[:len(prefix)] == prefix {
-			out = append(out, key[len(prefix):])
+		if key.tenant == tenant {
+			out = append(out, key.model)
 		}
 	}
 	sort.Strings(out)
@@ -109,12 +110,7 @@ func (m *Mem) Tenants() ([]string, error) {
 	defer m.mu.RUnlock()
 	seen := make(map[string]bool)
 	for key := range m.models {
-		for i := 0; i < len(key); i++ {
-			if key[i] == '/' {
-				seen[key[:i]] = true
-				break
-			}
-		}
+		seen[key.tenant] = true
 	}
 	out := make([]string, 0, len(seen))
 	for t := range seen {
@@ -128,7 +124,7 @@ func (m *Mem) Tenants() ([]string, error) {
 func (m *Mem) Delete(tenant, model string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	key := memKey(tenant, model)
+	key := memKey{tenant, model}
 	if len(m.models[key]) == 0 {
 		return fmt.Errorf("%w: %s/%s", ErrNotFound, tenant, model)
 	}

@@ -27,6 +27,8 @@
 package store
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"regexp"
@@ -170,7 +172,11 @@ func lastIndexByte(s string, b byte) int {
 }
 
 // canonicalize normalizes the document and returns its canonical bytes and
-// content hash — the stored representation.
+// content hash — the stored representation. The hash is adl.Hash(doc) by
+// construction (SHA-256 of MarshalJSON(Normalize(doc))). Normalize's
+// idempotence keeps it equal to adl.Hash(Normalize(doc)), which stores
+// written before this one-pass form hold, and to what Disk re-verifies on
+// every read by hashing the decoded source.
 func canonicalize(doc *adl.Document) (source []byte, hash string, err error) {
 	norm, err := adl.Normalize(doc)
 	if err != nil {
@@ -180,11 +186,8 @@ func canonicalize(doc *adl.Document) (source []byte, hash string, err error) {
 	if err != nil {
 		return nil, "", fmt.Errorf("store: marshal: %w", err)
 	}
-	hash, err = adl.Hash(norm)
-	if err != nil {
-		return nil, "", fmt.Errorf("store: hash: %w", err)
-	}
-	return source, hash, nil
+	sum := sha256.Sum256(source)
+	return source, hex.EncodeToString(sum[:]), nil
 }
 
 // checkCAS applies the ExpectedLatest compare-and-swap rule given the

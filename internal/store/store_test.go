@@ -313,42 +313,48 @@ func TestArtifactCacheCountersAndEviction(t *testing.T) {
 // TestLatestVersionResolution: a cache Load of "latest" picks up a new
 // publish while a pinned ref keeps serving the old artifact.
 func TestLatestVersionResolution(t *testing.T) {
-	st := NewMem()
-	cache := NewArtifactCache(8)
-	if _, err := st.Publish("t", "m", testDoc(t, "1e-6"), PublishOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	ca1, rec1, err := cache.Load(st, Ref{Tenant: "t", Model: "m"}, "", core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec1.Version != 1 {
-		t.Fatalf("latest = v%d, want 1", rec1.Version)
-	}
-	if _, err := st.Publish("t", "m", testDoc(t, "5e-6"), PublishOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	// Pinned v1 still serves the original artifact (pointer-identical).
-	caPinned, _, err := cache.Load(st, Ref{Tenant: "t", Model: "m", Version: 1}, "", core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if caPinned != ca1 {
-		t.Error("pinned v1 was invalidated by the publish")
-	}
-	// Latest now resolves v2 with a different prediction.
-	ca2, rec2, err := cache.Load(st, Ref{Tenant: "t", Model: "m"}, "", core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec2.Version != 2 || ca2 == ca1 {
-		t.Errorf("latest after publish = v%d (same artifact: %v)", rec2.Version, ca2 == ca1)
-	}
-	p1, _ := ca1.Pfail("work", 4096)
-	p2, _ := ca2.Pfail("work", 4096)
-	if p1 == p2 {
-		t.Error("v1 and v2 predict identically despite different phi")
-	}
+	backends(t, func(t *testing.T, st Store) {
+		cache := NewArtifactCache(8)
+		if _, err := st.Publish("t", "m", testDoc(t, "1e-6"), PublishOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		ca1, rec1, err := cache.Load(st, Ref{Tenant: "t", Model: "m"}, "", core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec1.Version != 1 {
+			t.Fatalf("latest = v%d, want 1", rec1.Version)
+		}
+		if _, err := st.Publish("t", "m", testDoc(t, "5e-6"), PublishOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		// Pinned v1 still serves the original artifact (pointer-identical).
+		caPinned, _, err := cache.Load(st, Ref{Tenant: "t", Model: "m", Version: 1}, "", core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if caPinned != ca1 {
+			t.Error("pinned v1 was invalidated by the publish")
+		}
+		// Latest now resolves v2 with a different prediction.
+		ca2, rec2, err := cache.Load(st, Ref{Tenant: "t", Model: "m"}, "", core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec2.Version != 2 || ca2 == ca1 {
+			t.Errorf("latest after publish = v%d (same artifact: %v)", rec2.Version, ca2 == ca1)
+		}
+		p1, _ := ca1.Pfail("work", 4096)
+		p2, _ := ca2.Pfail("work", 4096)
+		if p1 == p2 {
+			t.Error("v1 and v2 predict identically despite different phi")
+		}
+		// The warm latest entry for v1 did not hide the publish: v1 and v2
+		// each compiled once, the pinned load hit.
+		if s := cache.Stats(); s.Misses != 2 || s.Hits != 1 {
+			t.Errorf("stats = %+v, want 2 misses and 1 hit", s)
+		}
+	})
 }
 
 // TestConcurrentPublishWhilePredicting is the -race acceptance check:
